@@ -28,7 +28,8 @@
 //! `--trace-smoke` generates a tiny trace from the fixed seed (or takes
 //! a `snooze-tracegen`-written file), replays it twice on the reduced
 //! 128-LC E12 shape, and fails unless the two runs agree byte-for-byte
-//! on event digest and table — the gate behind `scripts/check.sh
+//! on event digest and table, some heartbeat transit was muted, and the
+//! network ledger balances — the gate behind `scripts/check.sh
 //! --trace-smoke`. `--arena-smoke` replays the same tiny trace once per
 //! `ConsolidatorRegistry` key on the reduced 128-LC arena shape under
 //! the billed-DVFS power model, twice each, and fails unless every cell
@@ -191,7 +192,7 @@ fn main() {
             failures
                 .push("two same-seed runs disagree on a deterministic table column".to_string());
         }
-        for r in &smoke.rows {
+        for (r, net) in smoke.rows.iter().zip(&smoke.ledgers) {
             if r.placed == 0 {
                 failures.push(format!("{}: no trace VM was placed", r.name));
             }
@@ -199,6 +200,18 @@ fn main() {
                 failures.push(format!(
                     "{}: {} dead letter(s) in a fault-free run",
                     r.name, r.dead_letters
+                ));
+            }
+            // Assigned and suspended LCs mute the heartbeats they ignore;
+            // zero muted transits means that stopped happening.
+            if net.muted == 0 {
+                failures.push(format!("{}: no multicast transit was muted", r.name));
+            }
+            if !net.balanced() {
+                failures.push(format!(
+                    "{}: network ledger does not balance \
+                     (sent != delivered + dropped + muted + to_dead + in_flight): {net:?}",
+                    r.name
                 ));
             }
         }

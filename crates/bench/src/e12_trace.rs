@@ -152,6 +152,9 @@ pub struct TraceSmoke {
     pub digests_match: bool,
     /// Both runs rendered byte-identical tables.
     pub tables_identical: bool,
+    /// The first run's network ledger per variant: the gate wants muted
+    /// heartbeats (`muted > 0`) and every transit accounted for.
+    pub ledgers: Vec<snooze_simcore::NetLedger>,
     /// Where the trace came from.
     pub trace_path: String,
 }
@@ -189,8 +192,9 @@ pub fn smoke_trace_path(trace: Option<&Path>) -> Result<std::path::PathBuf, Stri
 /// (typically written by `snooze-tracegen --seed 42`); otherwise
 /// generate the same tiny trace in-process and additionally assert the
 /// generator is a pure function of the seed (two generations must be
-/// byte-identical). Either way, run the reduced 128-LC shape twice and
-/// compare event digests and rendered tables byte-for-byte.
+/// byte-identical). Either way, run the reduced 128-LC shape twice,
+/// compare event digests and rendered tables byte-for-byte, and keep
+/// each variant's network ledger for the heartbeat-muting checks.
 pub fn smoke(trace: Option<&Path>) -> Result<TraceSmoke, String> {
     let path = smoke_trace_path(trace)?;
     let path_str = path
@@ -199,12 +203,14 @@ pub fn smoke(trace: Option<&Path>) -> Result<TraceSmoke, String> {
 
     let specs = presets::e12_trace_smoke(path_str);
     let mut rows = Vec::new();
+    let mut ledgers = Vec::new();
     let mut digests_match = true;
     let mut tables_identical = true;
     for spec in &specs {
         let a = snooze_scenario::run(spec)?;
         let b = snooze_scenario::run(spec)?;
         digests_match &= a.live.sim.digest() == b.live.sim.digest();
+        ledgers.push(a.live.sim.net_ledger());
         let row_a = row_from_outcome(a.outcome, 128);
         let row_b = row_from_outcome(b.outcome, 128);
         let strip = |r: &E12Row| {
@@ -219,6 +225,7 @@ pub fn smoke(trace: Option<&Path>) -> Result<TraceSmoke, String> {
         rows,
         digests_match,
         tables_identical,
+        ledgers,
         trace_path: path_str.to_string(),
     })
 }

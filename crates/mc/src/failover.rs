@@ -13,8 +13,9 @@
 //!   destroy guests.
 //! * **orphaned-lc-recovered** (bounded liveness): from every frontier
 //!   state, a fair suffix ends with every alive LC assigned to an alive
-//!   manager in GM mode — an LC orphaned by its manager's crash rejoins
-//!   through the Entry Point and is re-covered.
+//!   manager in GM mode, listening on that manager's heartbeat group
+//!   and muted on the GL group — an LC orphaned by its manager's crash
+//!   unmutes the GL group, rejoins and is re-covered.
 //!
 //! Exploration targets manager crashes ([`FailoverHarness::crashable`]):
 //! LC and client faults are covered by the scenario suite; the GL/GM
@@ -135,6 +136,7 @@ impl FailoverHarness {
         });
 
         let (gms, lcs) = (self.system.gms.clone(), self.system.lcs.clone());
+        let gl_group = self.system.gl_group;
         let recovered = Predicate::liveness(
             "orphaned-lc-recovered",
             LIVENESS_WITHIN,
@@ -147,17 +149,25 @@ impl FailoverHarness {
                         .get(lc)
                         .and_then(|n| n.lc())
                         .and_then(|l| l.assigned_gm());
-                    let covered = assigned.is_some_and(|gm| {
-                        gms.contains(&gm)
-                            && sim.is_alive(gm)
-                            && sim
-                                .get(gm)
-                                .and_then(|n| n.gm())
-                                .is_some_and(|g| matches!(g.mode(), Mode::Gm(_)))
-                    });
-                    if !covered {
+                    let serving = assigned.filter(|gm| gms.contains(gm) && sim.is_alive(*gm));
+                    let Some(g) = serving
+                        .and_then(|gm| sim.get(gm))
+                        .and_then(|n| n.gm())
+                        .filter(|g| matches!(g.mode(), Mode::Gm(_)))
+                    else {
                         return Some(format!(
                             "LC {lc:?} not re-covered: assigned to {assigned:?} after fair suffix"
+                        ));
+                    };
+                    let net = sim.network();
+                    if net.is_muted(g.lc_group(), lc) != Some(false) {
+                        return Some(format!(
+                            "LC {lc:?} does not listen to its GM {assigned:?}'s heartbeats"
+                        ));
+                    }
+                    if net.is_muted(gl_group, lc) != Some(true) {
+                        return Some(format!(
+                            "LC {lc:?} is assigned but still takes GL heartbeats"
                         ));
                     }
                 }

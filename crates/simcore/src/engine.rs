@@ -43,7 +43,7 @@ use snooze_telemetry::span::{SpanId, SpanLog};
 use crate::equeue::{EventQueue, QueueKind};
 use crate::mc::McState as _;
 use crate::metrics::MetricsRegistry;
-use crate::network::{FifoClamps, Network, NetworkConfig};
+use crate::network::{FifoClamps, GroupMember, GroupOp, Network, NetworkConfig};
 use crate::rng::SimRng;
 use crate::time::{SimSpan, SimTime};
 use crate::trace::Trace;
@@ -228,6 +228,35 @@ pub(crate) struct ExecRec {
     pub(crate) b: u64,
 }
 
+/// Where the network transits of a run ended up, read from the `net.*`
+/// counters plus the deliveries still queued. Every transit a send or a
+/// multicast draws counts once in `sent` and ends exactly one way, so
+/// [`NetLedger::balanced`] holds at any point between events. Messages
+/// injected with [`Engine::post`] draw no transit; they count only where
+/// they land, so a run that posts does not balance.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct NetLedger {
+    /// Transits drawn (`net.sent`).
+    pub sent: u64,
+    /// Delivered to a live component (`net.delivered`).
+    pub delivered: u64,
+    /// Lost to random loss, a partition or isolation (`net.dropped`).
+    pub dropped: u64,
+    /// Skipped for a live member that muted the group (`net.muted`).
+    pub muted: u64,
+    /// Arrived at a crashed or unknown component (`net.to_dead`).
+    pub to_dead: u64,
+    /// Drawn but not yet delivered.
+    pub in_flight: u64,
+}
+
+impl NetLedger {
+    /// `sent == delivered + dropped + muted + to_dead + in_flight`.
+    pub fn balanced(&self) -> bool {
+        self.sent == self.delivered + self.dropped + self.muted + self.to_dead + self.in_flight
+    }
+}
+
 /// Hot-path counters a shard accumulates instead of hitting the labeled
 /// metrics registry per event; flushed into the named counters when the
 /// engine returns control to the caller.
@@ -236,6 +265,7 @@ pub(crate) struct FastCounters {
     pub(crate) sent: u64,
     pub(crate) delivered: u64,
     pub(crate) dropped: u64,
+    pub(crate) muted: u64,
     pub(crate) to_dead: u64,
     pub(crate) crashes: u64,
     pub(crate) restarts: u64,
@@ -278,8 +308,9 @@ pub(crate) struct ShardScratch<M> {
     /// Liveness overlay: `component id -> (alive, incarnation)` for
     /// own-shard crashes/restarts executed this window.
     pub(crate) live: BTreeMap<usize, (bool, u32)>,
-    /// Multicast membership deltas: `(group, component, joined)`.
-    pub(crate) groups: Vec<(GroupId, ComponentId, bool)>,
+    /// Multicast membership deltas (joins, leaves, mutes, unmutes), in
+    /// the order this shard's components made them.
+    pub(crate) groups: Vec<(GroupId, ComponentId, GroupOp)>,
     /// Span-log mutations, replayed in shard order at flush.
     pub(crate) spans: Vec<SpanOp>,
     /// Parent links for shard-allocated span ids (persistent — span
@@ -512,14 +543,19 @@ impl<M> EngineCore<M> {
         sh.queue.push(Scheduled { time, seq, kind });
     }
 
+    /// Draw the transit of one message and enqueue its delivery. With
+    /// `muted` set the transit is still drawn — same latency sample, same
+    /// FIFO clamp — but a message that would arrive is neither built nor
+    /// enqueued; returns whether that happened.
     fn send_via_network(
         &mut self,
         src: ComponentId,
         dst: ComponentId,
         extra: SimSpan,
-        msg: M,
+        muted: bool,
+        msg: impl FnOnce() -> M,
         span: Option<SpanId>,
-    ) {
+    ) -> bool {
         let departs = self.now + extra;
         let s = self.shard_idx(src);
         let arrival = {
@@ -530,13 +566,14 @@ impl<M> EngineCore<M> {
             network.transit(src, dst, departs, &mut sh.rng, &mut sh.fifo)
         };
         match arrival {
+            Some(_) if muted => return true,
             Some(arrival) => {
                 self.schedule(
                     arrival,
                     EventKind::Deliver {
                         src,
                         dst,
-                        msg,
+                        msg: msg(),
                         span,
                     },
                 );
@@ -545,6 +582,7 @@ impl<M> EngineCore<M> {
                 self.metrics.incr("net.dropped");
             }
         }
+        false
     }
 
     /// Drain every shard's observer buffers into the shared registries,
@@ -561,6 +599,7 @@ impl<M> EngineCore<M> {
                 ("net.sent", fast.sent),
                 ("net.delivered", fast.delivered),
                 ("net.dropped", fast.dropped),
+                ("net.muted", fast.muted),
                 ("net.to_dead", fast.to_dead),
                 ("failure.crashes", fast.crashes),
                 ("failure.restarts", fast.restarts),
@@ -592,6 +631,63 @@ impl<M> EngineCore<M> {
             }
         }
     }
+}
+
+/// The windowed half of [`EngineCore::send_via_network`]: draw the
+/// transit on the shard's own RNG and FIFO clamps, then queue the
+/// delivery on this shard or buffer it for the owning one. Returns
+/// whether a `muted` receiver's message was skipped.
+fn shard_send<M>(
+    sc: &mut ShardCtx<'_, M>,
+    src: ComponentId,
+    dst: ComponentId,
+    delay: SimSpan,
+    muted: bool,
+    msg: impl FnOnce() -> M,
+    span: Option<SpanId>,
+) -> bool {
+    let st = &mut *sc.state;
+    let departs = sc.now + delay;
+    let Some(arrival) = sc
+        .shared
+        .network
+        .transit(src, dst, departs, &mut st.rng, &mut st.fifo)
+    else {
+        st.scratch.fast.dropped += 1;
+        return false;
+    };
+    if muted {
+        return true;
+    }
+    let dshard = sc
+        .shared
+        .shard_of
+        .get(dst.0)
+        .map(|&s| s as usize)
+        .unwrap_or(0);
+    let kind = EventKind::Deliver {
+        src,
+        dst,
+        msg: msg(),
+        span,
+    };
+    if dshard == sc.shard {
+        // Own-shard traffic stays on the fast path and may execute later
+        // in the same window.
+        let seq = st.seq;
+        st.seq += 1;
+        st.queue.push(Scheduled {
+            time: arrival,
+            seq,
+            kind,
+        });
+    } else {
+        // Cross-shard: buffered, committed with a destination-shard seq
+        // after the window. The lookahead horizon guarantees `arrival` is
+        // at or beyond every shard's horizon.
+        st.scratch.outbox.push((dshard as u32, arrival, kind));
+    }
+    false
 }
 
 /// The context handle passed to every component callback, parameterized
@@ -676,105 +772,111 @@ impl<M> Ctx<'_, M> {
         match &mut self.inner {
             CtxInner::Seq(core) => {
                 core.metrics.incr("net.sent");
-                core.send_via_network(me, dst, delay, msg, span);
+                core.send_via_network(me, dst, delay, false, || msg, span);
             }
             CtxInner::Shard(sc) => {
-                let st = &mut *sc.state;
-                st.scratch.fast.sent += 1;
-                let departs = sc.now + delay;
-                match sc
-                    .shared
-                    .network
-                    .transit(me, dst, departs, &mut st.rng, &mut st.fifo)
-                {
-                    Some(arrival) => {
-                        let dshard = sc
-                            .shared
-                            .shard_of
-                            .get(dst.0)
-                            .map(|&s| s as usize)
-                            .unwrap_or(0);
-                        let kind = EventKind::Deliver {
-                            src: me,
-                            dst,
-                            msg,
-                            span,
-                        };
-                        if dshard == sc.shard {
-                            // Own-shard traffic stays on the fast path and
-                            // may execute later in the same window.
-                            let seq = st.seq;
-                            st.seq += 1;
-                            st.queue.push(Scheduled {
-                                time: arrival,
-                                seq,
-                                kind,
-                            });
-                        } else {
-                            // Cross-shard: buffered, committed with a
-                            // destination-shard seq after the window. The
-                            // lookahead horizon guarantees `arrival` is at
-                            // or beyond every shard's horizon.
-                            st.scratch.outbox.push((dshard as u32, arrival, kind));
-                        }
-                    }
-                    None => {
-                        st.scratch.fast.dropped += 1;
-                    }
-                }
+                sc.state.scratch.fast.sent += 1;
+                shard_send(sc, me, dst, delay, false, || msg, span);
             }
         }
     }
 
     /// Multicast to every current member of `group` except the sender.
-    /// `make` is invoked once per receiver, so payloads need not be
-    /// `Clone`.
+    /// `make` is invoked once per delivered message, so payloads need not
+    /// be `Clone`.
+    ///
+    /// Every receiver costs one transit draw, in member order, whether or
+    /// not it listens, so the RNG stream and every arrival time are those
+    /// of an all-listening group. A member that has muted the group (see
+    /// [`GroupMember`]) and is alive then gets nothing; a crashed one
+    /// still gets its message, which becomes a dead letter as before.
+    /// `net.sent` counts every draw and `net.muted` the skipped ones.
     pub fn multicast<T: Into<M>, F: Fn() -> T>(&mut self, group: GroupId, make: F) {
         let me = self.me;
-        let members: Vec<ComponentId> = match &self.inner {
-            CtxInner::Seq(core) => core.network.group_members(group).to_vec(),
-            CtxInner::Shard(sc) => {
-                // Pre-window membership plus this shard's own deltas —
-                // a component sees its own joins/leaves immediately,
-                // other shards' only from the next window on.
-                let mut m = sc.shared.network.group_members(group).to_vec();
-                for (g, id, joined) in &sc.state.scratch.groups {
-                    if *g == group {
-                        if *joined {
-                            if !m.contains(id) {
-                                m.push(*id);
-                            }
-                        } else {
-                            m.retain(|x| x != id);
-                        }
+        let span = self.current_span();
+        let make = || make().into();
+        let (mut sent, mut muted) = (0u64, 0u64);
+        match &mut self.inner {
+            CtxInner::Seq(core) => {
+                // Indexed so the member list is not copied: nothing can
+                // change membership while this handler is sending.
+                for i in 0..core.network.group_members(group).len() {
+                    let m = core.network.group_members(group)[i];
+                    if m.id == me {
+                        continue;
                     }
+                    sent += 1;
+                    let skip = m.muted && core.alive.get(m.id.0).copied().unwrap_or(false);
+                    muted +=
+                        core.send_via_network(me, m.id, SimSpan::ZERO, skip, make, span) as u64;
                 }
-                m
+                if sent > 0 {
+                    core.metrics.add("net.sent", sent);
+                }
+                if muted > 0 {
+                    core.metrics.add("net.muted", muted);
+                }
             }
-        };
-        for dst in members {
-            if dst != me {
-                self.send(dst, make());
+            CtxInner::Shard(sc) => {
+                // Pre-window membership plus this shard's own deltas — a
+                // component sees its own joins, leaves and mutes at once,
+                // other shards' only from the next window on. Only a
+                // group this shard changed this window needs a copy.
+                let base = sc.shared.network.group_members(group);
+                let members: std::borrow::Cow<'_, [GroupMember]> =
+                    if sc.state.scratch.groups.iter().any(|(g, _, _)| *g == group) {
+                        let mut m = base.to_vec();
+                        for &(g, id, op) in &sc.state.scratch.groups {
+                            if g == group {
+                                op.apply(&mut m, id);
+                            }
+                        }
+                        m.into()
+                    } else {
+                        base.into()
+                    };
+                for m in members.iter() {
+                    if m.id == me {
+                        continue;
+                    }
+                    sent += 1;
+                    let skip = m.muted && crate::exec::live_of(sc.state, sc.shared, m.id).0;
+                    muted += shard_send(sc, me, m.id, SimSpan::ZERO, skip, make, span) as u64;
+                }
+                sc.state.scratch.fast.sent += sent;
+                sc.state.scratch.fast.muted += muted;
             }
+        }
+    }
+
+    fn group_op(&mut self, group: GroupId, op: GroupOp) {
+        let me = self.me;
+        match &mut self.inner {
+            CtxInner::Seq(core) => core.network.apply_group_op(group, me, op),
+            CtxInner::Shard(sc) => sc.state.scratch.groups.push((group, me, op)),
         }
     }
 
     /// Join a multicast group.
     pub fn join_group(&mut self, group: GroupId) {
-        let me = self.me;
-        match &mut self.inner {
-            CtxInner::Seq(core) => core.network.join_group(group, me),
-            CtxInner::Shard(sc) => sc.state.scratch.groups.push((group, me, true)),
-        }
+        self.group_op(group, GroupOp::Join);
     }
 
     /// Leave a multicast group.
     pub fn leave_group(&mut self, group: GroupId) {
-        let me = self.me;
-        match &mut self.inner {
-            CtxInner::Seq(core) => core.network.leave_group(group, me),
-            CtxInner::Shard(sc) => sc.state.scratch.groups.push((group, me, false)),
-        }
+        self.group_op(group, GroupOp::Leave);
+    }
+
+    /// Stay in `group` but take no delivery of its multicasts while alive
+    /// (see [`GroupMember`]). For traffic this component would ignore
+    /// anyway; a no-op if it is not a member.
+    pub fn mute_group(&mut self, group: GroupId) {
+        self.group_op(group, GroupOp::Mute);
+    }
+
+    /// Take delivery of `group`'s multicasts again.
+    pub fn unmute_group(&mut self, group: GroupId) {
+        self.group_op(group, GroupOp::Unmute);
     }
 
     /// Arrange for [`Component::on_timer`] to be called on this component
@@ -871,10 +973,7 @@ impl<M> Ctx<'_, M> {
     pub fn is_alive(&self, other: ComponentId) -> bool {
         match &self.inner {
             CtxInner::Seq(core) => core.alive.get(other.0).copied().unwrap_or(false),
-            CtxInner::Shard(sc) => match sc.state.scratch.live.get(&other.0) {
-                Some(&(alive, _)) => alive,
-                None => sc.shared.alive.get(other.0).copied().unwrap_or(false),
-            },
+            CtxInner::Shard(sc) => crate::exec::live_of(sc.state, sc.shared, other).0,
         }
     }
 
@@ -1286,6 +1385,28 @@ impl<C: Component> Engine<C> {
         self.core.shard_of.get(id.0).map(|&s| s as usize)
     }
 
+    /// The network ledger of the run so far (see [`NetLedger`]).
+    pub fn net_ledger(&self) -> NetLedger {
+        let m = &self.core.metrics;
+        let in_flight = self
+            .core
+            .shards
+            .iter()
+            .flat_map(|sh| sh.queue.iter())
+            .filter(|ev| {
+                matches!(ev.kind, EventKind::Deliver { src, .. } if src != ComponentId::EXTERNAL)
+            })
+            .count() as u64;
+        NetLedger {
+            sent: m.counter("net.sent"),
+            delivered: m.counter("net.delivered"),
+            dropped: m.counter("net.dropped"),
+            muted: m.counter("net.muted"),
+            to_dead: m.counter("net.to_dead"),
+            in_flight,
+        }
+    }
+
     /// Whether `id` is currently alive.
     pub fn is_alive(&self, id: ComponentId) -> bool {
         self.core.alive.get(id.0).copied().unwrap_or(false)
@@ -1443,6 +1564,11 @@ impl<C: Component> Engine<C> {
             out.push_str(&format!("{};{} {}\n", row.kind, row.variant, row.events));
         }
         out
+    }
+
+    /// The simulated network (group membership, partitions).
+    pub fn network(&self) -> &Network {
+        &self.core.network
     }
 
     /// Direct mutable access to the simulated network (partitions etc.).
@@ -2405,6 +2531,50 @@ mod tests {
         }
     }
 
+    /// Joins `group` on start (muting it if `mute`), then records when
+    /// each message arrives.
+    struct Stamp {
+        group: GroupId,
+        mute: bool,
+        arrivals: Vec<SimTime>,
+    }
+    impl Component for Stamp {
+        type Msg = TestMsg;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, TestMsg>) {
+            ctx.join_group(self.group);
+            if self.mute {
+                ctx.mute_group(self.group);
+            }
+        }
+        fn on_message(&mut self, ctx: &mut Ctx<'_, TestMsg>, _: ComponentId, _: TestMsg) {
+            self.arrivals.push(ctx.now());
+        }
+    }
+
+    /// Multicasts to `group` once a millisecond for `rounds` rounds, then
+    /// records one draw from its shard's RNG stream.
+    struct Beacon {
+        group: GroupId,
+        rounds: u32,
+        rng_after: Option<u64>,
+    }
+    impl Component for Beacon {
+        type Msg = TestMsg;
+        fn on_start(&mut self, ctx: &mut Ctx<'_, TestMsg>) {
+            ctx.set_timer(SimSpan::from_millis(1), 0);
+        }
+        fn on_message(&mut self, _: &mut Ctx<'_, TestMsg>, _: ComponentId, _: TestMsg) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, TestMsg>, _tag: u64) {
+            ctx.multicast(self.group, || TestMsg::Ping);
+            self.rounds -= 1;
+            if self.rounds > 0 {
+                ctx.set_timer(SimSpan::from_millis(1), 0);
+            } else {
+                self.rng_after = Some(ctx.rng().range(0, usize::MAX) as u64);
+            }
+        }
+    }
+
     struct Loopy;
     impl Component for Loopy {
         type Msg = TestMsg;
@@ -2546,6 +2716,8 @@ mod tests {
             Nester(Nester) as as_nester,
             Halter(Halter) as as_halter,
             Hinted(Hinted) as as_hinted,
+            Stamp(Stamp) as as_stamp,
+            Beacon(Beacon) as as_beacon,
         }
     }
 
@@ -2734,6 +2906,128 @@ mod tests {
         sim.run();
         assert_eq!(sim.component(a).as_echo().unwrap().seen, 1);
         assert_eq!(sim.component(b).as_echo().unwrap().seen, 1);
+    }
+
+    /// Three stamps (the middle one muted when `mute_middle`) under a
+    /// ten-round beacon on a jittered LAN; `crash_middle` crashes the
+    /// middle stamp halfway through. Returns each stamp's arrivals, the
+    /// beacon's post-run RNG draw and the network ledger.
+    fn beacon_run(
+        seed: u64,
+        shards: usize,
+        mute_middle: bool,
+        crash_middle: bool,
+    ) -> (Vec<Vec<SimTime>>, Option<u64>, NetLedger) {
+        let mut sim: Engine<TestNode> = SimBuilder::new(seed)
+            .network(NetworkConfig::lossy_lan(0.2))
+            .shards(shards)
+            .build();
+        let group = sim.create_group();
+        let stamps: Vec<ComponentId> = (0..3)
+            .map(|i| {
+                sim.add_component_in_shard(
+                    format!("stamp{i}"),
+                    Stamp {
+                        group,
+                        mute: mute_middle && i == 1,
+                        arrivals: Vec::new(),
+                    },
+                    i % shards,
+                )
+            })
+            .collect();
+        let beacon = sim.add_component(
+            "beacon",
+            Beacon {
+                group,
+                rounds: 10,
+                rng_after: None,
+            },
+        );
+        if crash_middle {
+            sim.schedule_crash(SimTime(5_500), stamps[1]);
+        }
+        sim.run();
+        let arrivals = stamps
+            .iter()
+            .map(|&id| sim.component(id).as_stamp().unwrap().arrivals.clone())
+            .collect();
+        let rng_after = sim.component(beacon).as_beacon().unwrap().rng_after;
+        (arrivals, rng_after, sim.net_ledger())
+    }
+
+    #[test]
+    fn muting_a_member_changes_nothing_for_the_others() {
+        for seed in [1u64, 2, 3] {
+            let (all, rng_all, net_all) = beacon_run(seed, 1, false, false);
+            let (muted, rng_muted, net_muted) = beacon_run(seed, 1, true, false);
+            assert!(!all[1].is_empty(), "the middle stamp listens by default");
+            assert!(muted[1].is_empty(), "a muted member takes no delivery");
+            assert_eq!(muted[0], all[0], "seed {seed}: first stamp's arrivals");
+            assert_eq!(muted[2], all[2], "seed {seed}: last stamp's arrivals");
+            assert_eq!(rng_muted, rng_all, "seed {seed}: the RNG stream moved");
+            assert_eq!(net_muted.sent, net_all.sent, "muted transits still count");
+            assert_eq!(net_muted.dropped, net_all.dropped);
+            assert_eq!(net_muted.muted, all[1].len() as u64);
+            assert_eq!(net_all.muted, 0);
+        }
+    }
+
+    #[test]
+    fn net_ledger_balances_at_quiescence() {
+        for shards in [1usize, 2] {
+            for (mute, crash) in [(false, false), (true, false), (true, true)] {
+                let (arrivals, _, net) = beacon_run(4, shards, mute, crash);
+                assert_eq!(net.in_flight, 0, "run() drains the queue");
+                assert!(
+                    net.balanced(),
+                    "shards {shards} mute {mute} crash {crash}: {net:?}"
+                );
+                assert!(net.dropped > 0, "the lossy LAN drops some transits");
+                if crash {
+                    // A crashed member is never skipped: what reaches it
+                    // becomes a dead letter, exactly as if it listened.
+                    assert!(net.to_dead > 0, "{net:?}");
+                    assert!(arrivals[1].is_empty());
+                }
+            }
+        }
+        let mut sim = sim(1);
+        let echo = sim.add_component(
+            "echo",
+            Echo {
+                bounces: 3,
+                seen: 0,
+            },
+        );
+        sim.add_component("kick", Kickoff { peer: echo });
+        sim.run_until(SimTime(50));
+        let mid = sim.net_ledger();
+        assert!(mid.in_flight > 0 && mid.balanced(), "{mid:?}");
+    }
+
+    #[test]
+    fn net_muted_is_registered_only_when_nonzero() {
+        let mut sim = sim(1);
+        let group = sim.create_group();
+        sim.add_component(
+            "stamp",
+            Stamp {
+                group,
+                mute: false,
+                arrivals: Vec::new(),
+            },
+        );
+        sim.add_component(
+            "beacon",
+            Beacon {
+                group,
+                rounds: 2,
+                rng_after: None,
+            },
+        );
+        sim.run();
+        assert!(!sim.metrics().counter_names().contains(&"net.muted"));
     }
 
     #[test]

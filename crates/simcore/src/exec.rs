@@ -148,7 +148,11 @@ fn run_shard<C: Component>(
 
 /// Liveness of `id` as seen by this shard: the window's own overlay if
 /// this shard crashed/restarted it, else the frozen pre-window state.
-fn live_of<M>(st: &ShardState<M>, shared: SharedView<'_, M>, id: ComponentId) -> (bool, u32) {
+pub(crate) fn live_of<M>(
+    st: &ShardState<M>,
+    shared: SharedView<'_, M>,
+    id: ComponentId,
+) -> (bool, u32) {
     match st.scratch.live.get(&id.0) {
         Some(&(alive, inc)) => (alive, inc),
         None => (
@@ -407,12 +411,8 @@ fn commit<C: Component>(engine: &mut Engine<C>, horizon: SimTime) -> bool {
             engine.core.incarnation[idx] = inc;
         }
         let groups = std::mem::take(&mut engine.core.shards[s].scratch.groups);
-        for (g, id, joined) in groups {
-            if joined {
-                engine.core.network.join_group(g, id);
-            } else {
-                engine.core.network.leave_group(g, id);
-            }
+        for (g, id, op) in groups {
+            engine.core.network.apply_group_op(g, id, op);
         }
     }
 

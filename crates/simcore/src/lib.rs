@@ -105,7 +105,7 @@ pub mod wallclock;
 /// dependency edge.
 pub use snooze_telemetry as telemetry;
 
-pub use engine::{Component, ComponentId, Ctx, Engine, GroupId, NetFault, SimBuilder};
+pub use engine::{Component, ComponentId, Ctx, Engine, GroupId, NetFault, NetLedger, SimBuilder};
 pub use equeue::QueueKind;
 pub use telemetry::{LabelSet, SpanId};
 pub use time::{SimSpan, SimTime};

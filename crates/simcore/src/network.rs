@@ -146,12 +146,61 @@ impl Default for NetworkConfig {
 /// shared borrow.
 pub(crate) type FifoClamps = BTreeMap<(usize, usize), SimTime>;
 
+/// One member of a multicast group.
+///
+/// A *muted* member stays in the group — its place in the member order,
+/// and so the latency draw each multicast makes for it, does not change —
+/// but takes no delivery while it is alive: a multicast still draws the
+/// member's transit (advancing the RNG stream and the per-pair FIFO
+/// clamp exactly as for a listening member) and then skips building and
+/// enqueueing the message. Components mute the groups whose traffic they
+/// would ignore anyway (an assigned LC and GL heartbeats, a suspended LC
+/// and GM heartbeats), so muting removes only no-op events.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct GroupMember {
+    /// The member component.
+    pub id: ComponentId,
+    /// Whether the member has muted the group.
+    pub muted: bool,
+}
+
+/// A multicast-membership change: applied directly by the sequential
+/// engine, buffered per shard during a window and applied at commit by
+/// the sharded one.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum GroupOp {
+    /// Join (idempotent; a new member listens).
+    Join,
+    /// Leave (idempotent; the mute flag goes with the member).
+    Leave,
+    /// Mute (a no-op for non-members).
+    Mute,
+    /// Unmute (a no-op for non-members).
+    Unmute,
+}
+
+impl GroupOp {
+    /// Apply this change for `id` to one group's member list.
+    pub(crate) fn apply(self, members: &mut Vec<GroupMember>, id: ComponentId) {
+        let pos = members.iter().position(|m| m.id == id);
+        match (self, pos) {
+            (GroupOp::Join, None) => members.push(GroupMember { id, muted: false }),
+            (GroupOp::Leave, Some(i)) => {
+                members.remove(i);
+            }
+            (GroupOp::Mute, Some(i)) => members[i].muted = true,
+            (GroupOp::Unmute, Some(i)) => members[i].muted = false,
+            _ => {}
+        }
+    }
+}
+
 /// Live network state owned by the engine. The mutable parts (group
 /// membership, partitions) live in ordered collections so snapshots hash
 /// and restore deterministically.
 pub struct Network {
     config: NetworkConfig,
-    groups: Vec<Vec<ComponentId>>,
+    groups: Vec<Vec<GroupMember>>,
     /// Pairs `(a, b)` with `a < b` that cannot communicate.
     blocked_pairs: BTreeSet<(usize, usize)>,
     /// Components cut off from everyone.
@@ -163,7 +212,7 @@ pub struct Network {
 /// of the model checker's [`crate::mc::SystemState`] snapshots.
 #[derive(Clone, Debug)]
 pub struct NetworkState {
-    groups: Vec<Vec<ComponentId>>,
+    groups: Vec<Vec<GroupMember>>,
     blocked_pairs: BTreeSet<(usize, usize)>,
     isolated: BTreeSet<usize>,
     last_arrival: BTreeMap<(usize, usize), SimTime>,
@@ -208,13 +257,15 @@ impl Network {
     }
 
     /// Fold the behavior-relevant mutable state into an FNV word stream
-    /// (group membership and reachability; FIFO clamps are excluded —
-    /// they only delay arrivals, and the checker re-times events anyway).
+    /// (group membership with mute flags, and reachability; FIFO clamps
+    /// are excluded — they only delay arrivals, and the checker re-times
+    /// events anyway).
     pub(crate) fn fold_state(&self, mut fold: impl FnMut(u64)) {
         for members in &self.groups {
             fold(members.len() as u64);
             for m in members {
-                fold(m.0 as u64);
+                fold(m.id.0 as u64);
+                fold(m.muted as u64);
             }
         }
         for &(a, b) in &self.blocked_pairs {
@@ -266,21 +317,43 @@ impl Network {
         GroupId(self.groups.len() - 1)
     }
 
-    /// Add `id` to `group` (idempotent).
+    /// Apply a membership change to `group`.
+    pub(crate) fn apply_group_op(&mut self, group: GroupId, id: ComponentId, op: GroupOp) {
+        op.apply(&mut self.groups[group.0], id);
+    }
+
+    /// Add `id` to `group` as a listening member (idempotent: an existing
+    /// member keeps its mute flag).
     pub fn join_group(&mut self, group: GroupId, id: ComponentId) {
-        let members = &mut self.groups[group.0];
-        if !members.contains(&id) {
-            members.push(id);
-        }
+        self.apply_group_op(group, id, GroupOp::Join);
     }
 
     /// Remove `id` from `group` (idempotent).
     pub fn leave_group(&mut self, group: GroupId, id: ComponentId) {
-        self.groups[group.0].retain(|m| *m != id);
+        self.apply_group_op(group, id, GroupOp::Leave);
     }
 
-    /// Current members of `group`.
-    pub fn group_members(&self, group: GroupId) -> &[ComponentId] {
+    /// Mute or unmute member `id` of `group` (see [`GroupMember`]); a
+    /// no-op if `id` is not a member.
+    pub fn set_muted(&mut self, group: GroupId, id: ComponentId, muted: bool) {
+        let op = if muted {
+            GroupOp::Mute
+        } else {
+            GroupOp::Unmute
+        };
+        self.apply_group_op(group, id, op);
+    }
+
+    /// Whether `id` has muted `group`; `None` if it is not a member.
+    pub fn is_muted(&self, group: GroupId, id: ComponentId) -> Option<bool> {
+        self.group_members(group)
+            .iter()
+            .find(|m| m.id == id)
+            .map(|m| m.muted)
+    }
+
+    /// Current members of `group`, in join order.
+    pub fn group_members(&self, group: GroupId) -> &[GroupMember] {
         self.groups.get(group.0).map(Vec::as_slice).unwrap_or(&[])
     }
 
@@ -467,9 +540,49 @@ mod tests {
         let g = net.create_group();
         net.join_group(g, ComponentId(5));
         net.join_group(g, ComponentId(5));
-        assert_eq!(net.group_members(g), &[ComponentId(5)]);
+        let five = GroupMember {
+            id: ComponentId(5),
+            muted: false,
+        };
+        assert_eq!(net.group_members(g), &[five]);
         net.leave_group(g, ComponentId(5));
         net.leave_group(g, ComponentId(5));
         assert!(net.group_members(g).is_empty());
+    }
+
+    #[test]
+    fn muting_keeps_the_member_in_place() {
+        let mut net = Network::new(NetworkConfig::instant());
+        let g = net.create_group();
+        for i in 1..=3 {
+            net.join_group(g, ComponentId(i));
+        }
+        net.set_muted(g, ComponentId(2), true);
+        net.set_muted(g, ComponentId(9), true);
+        let order: Vec<usize> = net.group_members(g).iter().map(|m| m.id.0).collect();
+        assert_eq!(order, [1, 2, 3], "muting never reorders the group");
+        assert_eq!(net.is_muted(g, ComponentId(2)), Some(true));
+        assert_eq!(net.is_muted(g, ComponentId(1)), Some(false));
+        assert_eq!(
+            net.is_muted(g, ComponentId(9)),
+            None,
+            "non-members stay out"
+        );
+        net.join_group(g, ComponentId(2));
+        assert_eq!(
+            net.is_muted(g, ComponentId(2)),
+            Some(true),
+            "re-joining keeps the flag"
+        );
+        net.set_muted(g, ComponentId(2), false);
+        assert_eq!(net.is_muted(g, ComponentId(2)), Some(false));
+        net.set_muted(g, ComponentId(3), true);
+        net.leave_group(g, ComponentId(3));
+        net.join_group(g, ComponentId(3));
+        assert_eq!(
+            net.is_muted(g, ComponentId(3)),
+            Some(false),
+            "the flag leaves with the member"
+        );
     }
 }

@@ -222,6 +222,12 @@ impl GroupManager {
         self.elector.epoch()
     }
 
+    /// The group this manager multicasts LC heartbeats on (the group its
+    /// LCs join).
+    pub fn lc_group(&self) -> GroupId {
+        self.lc_group
+    }
+
     /// Number of LCs currently managed.
     pub fn lc_count(&self) -> usize {
         self.lcs.len()

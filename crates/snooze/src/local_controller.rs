@@ -9,6 +9,11 @@
 //! (or after losing its GM) it listens for GL heartbeats, asks the GL for
 //! a GM assignment, joins that GM's multicast group and starts sending
 //! monitoring reports, which double as its heartbeat.
+//!
+//! An LC mutes the multicast groups whose traffic it would ignore: the
+//! GL group while it has a GM, its GM's group while the node is
+//! suspended. It stays a member of both, so the network draws the same
+//! transits as for a listening member and only no-op deliveries vanish.
 
 use std::collections::BTreeMap;
 
@@ -224,12 +229,26 @@ impl LocalController {
         }
     }
 
+    /// Forget the GM and listen for GL heartbeats again, to rejoin.
     fn leave_gm(&mut self, ctx: &mut Ctx<'_, SnoozeMsg>) {
         if let Some(group) = self.gm_group.take() {
             ctx.leave_group(group);
         }
+        ctx.unmute_group(self.gl_group);
         self.gm = None;
         self.assignment_requested_at = None;
+    }
+
+    /// A resume has just started: take GM heartbeats again. Unmuting at
+    /// the *start* of the resume rather than when the node is back on
+    /// loses nothing: a heartbeat multicast while the group was muted
+    /// arrives within one network latency (≤ 500 µs on the LAN), far
+    /// inside the resume (25 s), so it would have hit the suspended
+    /// node's `!is_on()` guard and been dropped anyway.
+    fn listen_to_gm(&self, ctx: &mut Ctx<'_, SnoozeMsg>) {
+        if let Some(group) = self.gm_group {
+            ctx.unmute_group(group);
+        }
     }
 
     /// Whether this node could currently give up its LC role (powered
@@ -299,6 +318,7 @@ impl Component for LocalController {
         if !self.is_on() {
             if let SnoozeMsg::WakeNode(_) = msg {
                 if let Ok(done) = self.power.resume(now) {
+                    self.listen_to_gm(ctx);
                     self.meter_update(now);
                     self.stats.wakeups += 1;
                     ctx.metrics()
@@ -333,6 +353,8 @@ impl Component for LocalController {
                 let group = ack.group;
                 self.gm_group = Some(group);
                 ctx.join_group(group);
+                // Assigned LCs ignore GL heartbeats (see the arm above).
+                ctx.mute_group(self.gl_group);
                 ctx.trace("join", format!("joined GM {src:?}"));
                 // Report immediately so the GM learns our capacity and guests.
                 self.send_monitoring(ctx, true);
@@ -433,6 +455,11 @@ impl Component for LocalController {
             SnoozeMsg::SuspendNode(_) => {
                 if self.hypervisor.is_idle() {
                     if let Ok(done) = self.power.suspend(now) {
+                        // A sleeping node answers nothing but wake-on-LAN,
+                        // which is a direct send, not a multicast.
+                        if let Some(group) = self.gm_group {
+                            ctx.mute_group(group);
+                        }
                         self.stats.suspensions += 1;
                         ctx.metrics()
                             .incr_with("power.transitions", &label("kind", "suspend"));
@@ -522,6 +549,7 @@ impl Component for LocalController {
             // orphaned sleeper).
             LC_WATCHDOG if self.power.state() == PowerState::Suspended => {
                 if let Ok(done) = self.power.resume(now) {
+                    self.listen_to_gm(ctx);
                     self.stats.watchdog_wakes += 1;
                     self.stats.wakeups += 1;
                     ctx.metrics()
@@ -566,11 +594,7 @@ impl Component for LocalController {
         self.energy = EnergyMeter::new(now, self.node.power.active_watts(0.0));
         self.migrating_out.clear();
         self.boot_spans.clear();
-        if let Some(group) = self.gm_group.take() {
-            ctx.leave_group(group);
-        }
-        self.gm = None;
-        self.assignment_requested_at = None;
+        self.leave_gm(ctx);
         self.last_gm_heartbeat = now;
         ctx.trace("restart", "LC back up");
         ctx.set_timer(self.config.lc_monitoring_period, tag(LC_MONITOR, 0));

@@ -29,7 +29,9 @@
 # `--trace-smoke` additionally generates a tiny trace twice with
 # `snooze-tracegen --seed 42` (the two files must be byte-identical),
 # then replays it twice per variant on the reduced 128-LC E12 shape in
-# release and fails on any digest or table-column mismatch.
+# release and fails on any digest or table-column mismatch, if no
+# heartbeat transit was muted, or if the network ledger does not balance
+# (sent != delivered + dropped + muted + to_dead + in flight).
 #
 # `--arena-smoke` additionally replays the seeded tiny trace once per
 # `ConsolidatorRegistry` key on the reduced 128-LC arena shape under
